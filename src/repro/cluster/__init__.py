@@ -21,6 +21,9 @@ single-host scheduler:
 
 The tier is fully testable without SSH: with no ``connect`` address the
 coordinator spawns ``workers`` localhost ``pash-worker`` processes itself.
+Fleets outlive a single run: the backend checks an idle fleet out of a
+process-wide free list and back in after a clean run, and
+:func:`shutdown_fleets` (registered with ``atexit``) closes the idle ones.
 """
 
 from repro.cluster.coordinator import (
@@ -28,6 +31,7 @@ from repro.cluster.coordinator import (
     ClusterCoordinator,
     ClusterOptions,
     remote_eligible,
+    shutdown_fleets,
 )
 
 __all__ = [
@@ -35,4 +39,5 @@ __all__ = [
     "ClusterCoordinator",
     "ClusterOptions",
     "remote_eligible",
+    "shutdown_fleets",
 ]

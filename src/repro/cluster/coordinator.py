@@ -34,6 +34,7 @@ by ``report_timeout_seconds`` — no outcome hangs.
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import os
 import queue as queue_module
@@ -317,15 +318,16 @@ class _RemoteTask:
 class ClusterCoordinator:
     """Owns the worker fleet and executes graphs against it."""
 
-    def __init__(self, options: Optional[ClusterOptions] = None, tracer: Optional[Tracer] = None):
+    def __init__(self, options: Optional[ClusterOptions] = None):
         self.options = options or ClusterOptions()
-        self.tracer = tracer or NULL_TRACER
         self.workers: List[ClusterWorkerHandle] = []
         self.processes: List[subprocess.Popen] = []
         self.address: Optional[Tuple[str, int]] = None
         self._listener: Optional[socket.socket] = None
         self._inbox: "queue_module.Queue" = queue_module.Queue()
         self._started = False
+        #: Free-list key of a fleet started by :func:`check_out_fleet`.
+        self.fleet_key: Optional[tuple] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -441,15 +443,46 @@ class ClusterCoordinator:
         self.workers.append(handle)
 
     def _receive_loop(self, handle: ClusterWorkerHandle) -> None:
+        # Items are stamped on arrival: an inbox drained long after (a fleet
+        # checked out of the idle list) still knows when each worker spoke.
         try:
             while True:
                 message = handle.channel.recv()
                 if message is None:
                     break
-                self._inbox.put((handle, message))
+                self._inbox.put((handle, time.monotonic(), message))
         except (OSError, ProtocolError):
             pass
-        self._inbox.put((handle, None))
+        self._inbox.put((handle, time.monotonic(), None))
+
+    def healthy(self) -> bool:
+        """Drain the idle inbox; whether every worker can take a new run.
+
+        A queued ``None`` marks its worker dead; every other message only
+        refreshes ``last_seen``, so heartbeats that piled up while the fleet
+        sat idle keep it from looking silent.  A fleet with a dead, busy,
+        silent or exited worker is unhealthy as a whole.
+        """
+        while True:
+            try:
+                handle, stamp, message = self._inbox.get_nowait()
+            except queue_module.Empty:
+                break
+            if message is None:
+                handle.alive = False
+            else:
+                handle.last_seen = max(handle.last_seen, stamp)
+        now = time.monotonic()
+        return (
+            self._started
+            and all(
+                handle.alive
+                and handle.task is None
+                and now - handle.last_seen <= self.options.heartbeat_timeout
+                for handle in self.workers
+            )
+            and all(process.poll() is None for process in self.processes)
+        )
 
     def shutdown(self) -> None:
         """Stop every worker and reap locally-spawned processes."""
@@ -478,9 +511,16 @@ class ClusterCoordinator:
     # -- execution -----------------------------------------------------------
 
     def execute(
-        self, graph: DataflowGraph, environment: Optional[ExecutionEnvironment] = None
+        self,
+        graph: DataflowGraph,
+        environment: Optional[ExecutionEnvironment] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> Tuple[ExecutionResult, EngineMetrics]:
-        """Run one graph across the fleet; mirrors the scheduler's contract."""
+        """Run one graph across the fleet; mirrors the scheduler's contract.
+
+        ``tracer`` belongs to this run, not to the fleet: a reused fleet
+        parents each caller's spans in that caller's trace.
+        """
         environment = environment or ExecutionEnvironment()
         graph.validate()
         started = time.perf_counter()
@@ -493,9 +533,9 @@ class ClusterCoordinator:
         if not self._started:
             self.start()
         metrics.cluster_workers = sum(1 for handle in self.workers if handle.alive)
-        run = _GraphRun(self, graph, environment, metrics)
+        run = _GraphRun(self, graph, environment, metrics, tracer)
         try:
-            with self.tracer.span(
+            with tracer.span(
                 "engine:run",
                 "scheduler",
                 nodes=len(graph.nodes),
@@ -503,7 +543,7 @@ class ClusterCoordinator:
             ):
                 # Captured inside engine:run so remote worker spans (shipped
                 # home through RESULT reports) parent under it, like the pool.
-                worker_trace = self.tracer.context()
+                worker_trace = tracer.context()
                 run.run(worker_trace)
             self._deliver(graph, run.store, environment, result)
             result.edge_values.update(run.output_values)
@@ -553,10 +593,11 @@ class _GraphRun:
         graph: DataflowGraph,
         environment: ExecutionEnvironment,
         metrics: EngineMetrics,
+        tracer: Tracer,
     ) -> None:
         self.coordinator = coordinator
         self.options = coordinator.options
-        self.tracer = coordinator.tracer
+        self.tracer = tracer
         self.graph = graph
         self.environment = environment
         self.metrics = metrics
@@ -752,11 +793,11 @@ class _GraphRun:
             item = None
         now = time.monotonic()
         if item is not None:
-            handle, message = item
+            handle, stamp, message = item
             if message is None:
                 self._worker_lost(handle)
             else:
-                handle.last_seen = now
+                handle.last_seen = stamp
                 self._handle_message(handle, message)
         lag = 0.0
         for handle in self.coordinator.workers:
@@ -855,6 +896,93 @@ class _GraphRun:
 
 
 # ---------------------------------------------------------------------------
+# Fleet reuse: the process-wide free list of idle started coordinators
+# ---------------------------------------------------------------------------
+
+_fleets_lock = threading.Lock()
+_idle_fleets: Dict[tuple, List[ClusterCoordinator]] = {}
+
+
+def _fleet_key(options: ClusterOptions) -> tuple:
+    """What makes two fleets interchangeable.
+
+    Everything a worker fixes at start-up is in the key: its count and
+    address, its interpreter, the heartbeat interval from WELCOME, and the
+    ``PASH_FAULTS`` plan it armed.  The owning pid comes last: a fleet
+    belongs to the process that started it, never to a forked child.
+    """
+    return (
+        options.workers,
+        options.connect,
+        options.python_executable,
+        options.heartbeat_interval,
+        os.environ.get(fault_injection.ENV_FAULTS),
+        os.getpid(),
+    )
+
+
+def check_out_fleet(options: ClusterOptions) -> Tuple[ClusterCoordinator, int]:
+    """A started fleet for ``options`` and the processes started for it.
+
+    Takes an idle fleet off the free list when one passes the health check
+    (0 processes started); an unhealthy fleet is shut down whole, never
+    patched.  With no usable idle fleet, starts a new one.  A checked-out
+    fleet is the caller's alone until :func:`check_in_fleet`.
+    """
+    key = _fleet_key(options)
+    while True:
+        with _fleets_lock:
+            idle = _idle_fleets.get(key)
+            coordinator = idle.pop() if idle else None
+        if coordinator is None:
+            break
+        coordinator.options = options
+        if coordinator.healthy():
+            return coordinator, 0
+        coordinator.shutdown()
+    coordinator = ClusterCoordinator(options)
+    coordinator.fleet_key = key
+    try:
+        coordinator.start()
+    except BaseException:
+        coordinator.shutdown()
+        raise
+    return coordinator, coordinator.spawned
+
+
+def check_in_fleet(coordinator: ClusterCoordinator) -> None:
+    """Return a fleet after a clean run, for the next check-out."""
+    with _fleets_lock:
+        _idle_fleets.setdefault(coordinator.fleet_key, []).append(coordinator)
+
+
+def shutdown_fleets() -> None:
+    """Shut down every idle fleet this process owns (registered with atexit).
+
+    Only fleets keyed on the current pid are touched: a forked child that
+    runs atexit handlers must never send SHUTDOWN to its parent's workers.
+    Workers of a process that dies without atexit exit on socket EOF.
+    """
+    pid = os.getpid()
+    with _fleets_lock:
+        owned = [key for key in _idle_fleets if key[-1] == pid]
+        fleets = [coordinator for key in owned for coordinator in _idle_fleets.pop(key)]
+    for coordinator in fleets:
+        coordinator.shutdown()
+
+
+def _reset_lock_in_child() -> None:
+    # A fork taken while another thread held the lock must not deadlock the
+    # child's atexit shutdown_fleets().
+    global _fleets_lock
+    _fleets_lock = threading.Lock()
+
+
+atexit.register(shutdown_fleets)
+os.register_at_fork(after_in_child=_reset_lock_in_child)
+
+
+# ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
 
@@ -865,9 +993,12 @@ class ClusterBackend(ExecutionBackend):
     Constructor keywords become :class:`ClusterOptions` fields, mirroring the
     parallel backend: ``engine.run(graph, backend="cluster", workers=4)``
     runs a 4-worker localhost cluster, ``connect="HOST:PORT"`` listens there
-    for externally-started ``pash-worker`` processes instead.  Each
-    ``execute`` call owns its fleet — started before the run, shut down
-    unconditionally after — so no worker process outlives the result.
+    for externally-started ``pash-worker`` processes instead.  Fleets are a
+    process-wide resource, like the parallel backend's shared pool: each
+    ``execute`` checks out an idle fleet (starting one only when none is
+    idle and healthy) and checks it back in after a clean run.  A run that
+    raised shuts its fleet down, so a fleet with abandoned tasks is never
+    reused.  Idle fleets close at interpreter exit (:func:`shutdown_fleets`).
     """
 
     name = "cluster"
@@ -889,14 +1020,16 @@ class ClusterBackend(ExecutionBackend):
 
     def execute(self, graph: DataflowGraph, environment: ExecutionEnvironment) -> EngineResult:
         started = time.perf_counter()
-        coordinator = ClusterCoordinator(self.options, tracer=self.tracer)
         mark = self.tracer.mark()
+        coordinator, spawned = check_out_fleet(self.options)
         try:
-            result, metrics = coordinator.execute(graph, environment)
-        finally:
+            result, metrics = coordinator.execute(graph, environment, self.tracer)
+        except BaseException:
             coordinator.shutdown()
+            raise
+        check_in_fleet(coordinator)
         elapsed = time.perf_counter() - started
-        metrics.processes_spawned += coordinator.spawned
+        metrics.processes_spawned += spawned
         record_engine_run(metrics, backend="cluster")
         wrapped = self._wrap(result, elapsed, metrics)
         wrapped.spans = self.tracer.since(mark)

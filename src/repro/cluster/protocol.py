@@ -119,6 +119,10 @@ class MessageSocket:
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # A task is several small messages in a row (TASK, CHUNK,
+            # EDGE_END); under Nagle each waits for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._send_lock = threading.Lock()
 
     def send(self, message: Dict[str, Any]) -> None:

@@ -145,8 +145,11 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
     set1 = _expand_tr_set(operands[0]) if operands else ""
     set2 = _expand_tr_set(operands[1]) if len(operands) > 1 else ""
 
-    text = "\n".join(data)
-    had_input = bool(data)
+    if not data:
+        return []
+    # The stream's final newline is modelled explicitly, so -c/-s see it as
+    # GNU tr does: ``printf 'dark.\n' | tr -cs A-Za-z '\n'`` gives "dark".
+    text = "\n".join(data) + "\n"
 
     if delete:
         if complement:
@@ -175,10 +178,10 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
             previous = char
         text = "".join(squeezed)
 
-    if not had_input:
-        return []
-    # The joined text stands for the stream without its final newline, so
-    # splitting on newlines maps back to exactly the output lines.
+    # Drop the final newline again: splitting then maps back to exactly the
+    # output lines (a last line left unterminated becomes a line).
+    if text.endswith("\n"):
+        text = text[:-1]
     return text.split("\n")
 
 

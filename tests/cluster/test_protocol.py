@@ -119,3 +119,23 @@ def test_parse_address():
     for bad in ("no-port", ":80", "host:", "host:abc"):
         with pytest.raises(ValueError):
             parse_address(bad)
+
+
+def test_tcp_endpoints_disable_nagle():
+    """A task is a burst of small messages: batching them behind delayed
+    ACKs (Nagle) would add tens of milliseconds per task."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    client = socket.create_connection(listener.getsockname()[:2])
+    server, _ = listener.accept()
+    try:
+        for sock in (client, server):
+            MessageSocket(sock)
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        left, right = make_pair()  # AF_UNIX: no such option, still usable
+        MessageSocket(left).send({"type": "ack"})
+        assert recv_message(right) == {"type": "ack"}
+        left.close()
+        right.close()
+    finally:
+        for sock in (client, server, listener):
+            sock.close()

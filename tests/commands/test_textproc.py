@@ -1,5 +1,9 @@
 """Tests for grep, tr, cut, sed, awk, and friends."""
 
+import os
+import shutil
+import subprocess
+
 import pytest
 
 from repro.commands import textproc
@@ -98,6 +102,43 @@ def test_tr_punct_class_delete():
 
 def test_tr_empty_input():
     assert textproc.tr(["a", "b"], [[]]) == []
+
+
+def test_tr_complement_squeeze_keeps_no_empty_last_line():
+    # The final newline is part of the complemented run: "dark.\n" -> "dark\n".
+    assert textproc.tr(["-cs", "A-Za-z", "\\n"], [["dark."]]) == ["dark"]
+    assert textproc.tr(["-cs", "A-Za-z", "\\n"], [["one, two.", "three!"]]) == [
+        "one", "two", "three",
+    ]
+
+
+#: Inputs whose GNU output ends in a newline, the shape a line stream can
+#: represent (``tr -cd`` or ``tr -d '\\n'`` drop that newline under GNU tr).
+TR_CONFORMANCE_CASES = [
+    (["-cs", "A-Za-z", "\\n"], "dark.\n"),
+    (["-cs", "A-Za-z", "\\n"], "one two,three\nfour.\n\n!five\n"),
+    (["-cs", "A-Za-z", "\\n"], ".lead\nmid..dle\ntrail...\n"),
+    (["-c", "A-Za-z", "\\n"], "a.b\nc.\n"),
+    (["-s", " "], "a   b  \n   c\n"),
+    (["-s", "\\n"], "a\n\n\nb\n\n"),
+    (["-d", "[:punct:]"], "a,b.\nc!\n"),
+    (["A-Z", "a-z"], "HeLLo\nWORLD.\n"),
+    ([" ", "\\n"], "a b c\nd \n"),
+]
+
+
+@pytest.mark.skipif(shutil.which("tr") is None, reason="requires a host tr")
+@pytest.mark.parametrize("arguments,text", TR_CONFORMANCE_CASES)
+def test_tr_matches_host_tr(arguments, text):
+    host = subprocess.run(
+        ["tr", *[argument.replace("\\n", "\n") for argument in arguments]],
+        input=text.encode(),
+        stdout=subprocess.PIPE,
+        env=dict(os.environ, LC_ALL="C"),
+        check=True,
+    ).stdout.decode()
+    lines = textproc.tr(arguments, [text.split("\n")[:-1]])
+    assert "".join(line + "\n" for line in lines) == host
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ parallel engine (real processes and pipes), and — where the command substrate
 is faithful to coreutils — the emitted shell script.
 
 The shell leg is restricted to benchmarks whose commands behave identically
-under real coreutils: the remaining five hit known substrate-fidelity gaps,
-not engine bugs (the Python ``tr -cs`` emits an empty token GNU tr does not
-— top-n, wf, bi-grams; GNU ``diff``'s output format differs from the Python
+under real coreutils: the remaining two hit known substrate-fidelity gaps,
+not engine bugs (GNU ``diff``'s output format differs from the Python
 stand-in — diff; and the custom annotated commands like ``bigrams`` have no
 host binary — bi-grams-opt).
 """
@@ -36,6 +35,9 @@ SHELL_FAITHFUL = [
     "shortest-scripts",
     "set-diff",
     "sort-sort",
+    "top-n",
+    "wf",
+    "bi-grams",
 ]
 
 
@@ -199,3 +201,31 @@ def test_assignment_visibility_on_shell_backend():
     if shutil.which("mkfifo") is None or shutil.which("grep") is None:
         pytest.skip("missing coreutils")
     assert run_assignment_script("shell") == ["light a", "light b", "dark c", "dark d"]
+
+
+# ---------------------------------------------------------------------------
+# tr -cs on split chunks: a chunk ending in a complemented character
+# ---------------------------------------------------------------------------
+
+
+def test_tr_complement_squeeze_on_chunks_ending_in_a_period():
+    """Every line ends in ``.``, so every split chunk does too: the parallel
+    copies of ``tr -cs`` must not add an empty line at each chunk's end."""
+    files = {
+        "in0.txt": [f"line {index} of the dark." for index in range(40)],
+        "in1.txt": [f"Another, line {index}..." for index in range(40)],
+    }
+    script = "cat in0.txt in1.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z > out.txt"
+    compiled = Pash.compile(script, PashConfig.paper_default(WIDTH))
+    outputs = {}
+    for backend in ("interpreter", "parallel"):
+        environment = ExecutionEnvironment(
+            filesystem=VirtualFileSystem({name: list(lines) for name, lines in files.items()})
+        )
+        result = compiled.execute(backend=backend, environment=environment)
+        outputs[backend] = result.output_of("out.txt")
+        if backend == "parallel":
+            copies = [node for node in result.metrics.nodes if node.label.startswith("tr -cs")]
+    assert len(copies) >= 2, "the tr stage was not parallelized"
+    assert outputs["parallel"] == outputs["interpreter"]
+    assert "" not in outputs["interpreter"]
