@@ -31,7 +31,7 @@ from repro import api
 from repro.api import Pash, PashConfig
 from repro.commands import standard_registry
 from repro.engine.scheduler import SchedulerOptions
-from repro.evaluation.harness import measured_speedup
+from repro.evaluation.harness import measure_benchmark
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
 from repro.workloads import text
@@ -107,15 +107,36 @@ def test_bench_engine_latency_bound_speedup(benchmark, bench_record):
     assert speedup > 1.3
 
 
+CPU_ROUNDS = 5
+CPU_LINES = 60_000
+
+
+def _median_run(runs):
+    return sorted(runs, key=lambda run: run.elapsed_seconds)[len(runs) // 2]
+
+
 def _run_cpu_workload():
-    static = measured_speedup(get_one_liner("sort"), width=WIDTH, lines=60_000)
-    adaptive = measured_speedup(
-        get_one_liner("sort"),
-        width=WIDTH,
-        lines=60_000,
-        config=PashConfig.paper_default(WIDTH, adaptive_width=True),
+    """Each side timed as the median of ``CPU_ROUNDS`` interleaved rounds.
+
+    Static and adaptive width differ by a few tens of milliseconds here, so
+    one shot per side cannot rank them; rounds alternate the sides so that a
+    burst of host load hits all three alike.
+    """
+    sort = get_one_liner("sort")
+    sides = {
+        "interpreter": dict(backend="interpreter"),
+        "static": dict(config=PashConfig.paper_default(WIDTH)),
+        "adaptive": dict(config=PashConfig.paper_default(WIDTH, adaptive_width=True)),
+    }
+    runs = {side: [] for side in sides}
+    for _ in range(CPU_ROUNDS):
+        for side, options in sides.items():
+            runs[side].append(measure_benchmark(sort, WIDTH, lines=CPU_LINES, **options))
+    baseline, static, adaptive = (_median_run(runs[side]) for side in sides)
+    return (
+        (baseline, static, baseline.elapsed_seconds / static.elapsed_seconds),
+        (baseline, adaptive, baseline.elapsed_seconds / adaptive.elapsed_seconds),
     )
-    return static, adaptive
 
 
 def test_bench_engine_cpu_bound_sort(benchmark, bench_record):

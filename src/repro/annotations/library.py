@@ -9,17 +9,23 @@ example for ``comm``) or are built programmatically for the simple cases.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.annotations.dsl import parse_annotations
 from repro.annotations.model import (
     AnnotationRecord,
+    Assignment,
+    Clause,
     CommandInvocation,
     IOSpec,
+    Otherwise,
+    Predicate,
     classify_invocation,
     simple_record,
 )
+from repro.commands.textproc import tr_newline_effect
 
 S = ParallelizabilityClass.STATELESS
 P = ParallelizabilityClass.PARALLELIZABLE_PURE
@@ -104,11 +110,6 @@ cat {
 | -b => (P, [args[0:]], [stdout])
 | otherwise => (S, [args[0:]], [stdout])
 }
-tr {
-| -d => (S, [stdin], [stdout])
-| -s => (S, [stdin], [stdout])
-| otherwise => (S, [stdin], [stdout])
-}
 uniq {
 | -c => (P, [stdin], [stdout])
 | otherwise => (P, [stdin], [stdout])
@@ -137,6 +138,34 @@ sed {
 """
 
 
+@dataclass
+class _TrNewlineEffect(Predicate):
+    """Matches a ``tr`` whose operands touch newlines in the given way."""
+
+    effect: str
+
+    def matches(self, invocation: CommandInvocation) -> bool:
+        return tr_newline_effect(invocation.arguments) == self.effect
+
+
+def _tr_record() -> AnnotationRecord:
+    """``tr`` maps each line on its own unless it touches the newlines.
+
+    Squeezing newline runs is parallelizable: a run spanning two partials
+    leaves a leading empty line on the second, which ``merge_squeeze``
+    drops.  Deleting or translating newlines joins lines, so it is not.
+    """
+    return AnnotationRecord(
+        "tr",
+        [
+            Clause(_TrNewlineEffect("rewrite"), Assignment(N)),
+            Clause(_TrNewlineEffect("squeeze"), Assignment(P)),
+            Clause(Otherwise(), Assignment(S)),
+        ],
+        aggregator="merge_squeeze",
+    )
+
+
 def _stateless(names: Iterable[str]) -> Iterable[AnnotationRecord]:
     for name in names:
         yield simple_record(name, S)
@@ -151,6 +180,7 @@ def _build_records() -> Dict[str, AnnotationRecord]:
     # Flag-sensitive commands from the DSL.
     for record in parse_annotations(_FLAG_SENSITIVE_DSL):
         add(record)
+    add(_tr_record())
 
     # Stateless commands: pure map/filter over lines.
     stateless_names = [
@@ -293,5 +323,6 @@ KNOWN_AGGREGATORS = (
     "merge_head",
     "merge_tail",
     "merge_comm",
+    "merge_squeeze",
     "sum",
 )

@@ -75,7 +75,8 @@ from repro.engine.api import EngineResult, ExecutionBackend
 from repro.engine.channels import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_SPILL_THRESHOLD,
-    iter_decoded_lines,
+    decode_chunks,
+    decode_lines,
     iter_encoded_chunks,
 )
 from repro.engine.metrics import EngineMetrics, NodeMetrics
@@ -192,9 +193,7 @@ class _EdgeSink:
             self._file = None
             self._path = None
             return
-        self.store.put_lines(
-            self.edge_id, list(iter_decoded_lines(iter([bytes(self._buffer)])))
-        )
+        self.store.put_lines(self.edge_id, decode_lines(bytes(self._buffer)))
 
     def abandon(self) -> None:
         if self._file is not None:
@@ -266,7 +265,7 @@ class EdgeStore:
         if edge_id in self._memory:
             return list(self._memory[edge_id])
         path = self._spilled[edge_id]
-        return list(iter_decoded_lines(iter_file_frames(path, self.chunk_size)))
+        return decode_chunks(iter_file_frames(path, self.chunk_size))
 
     def frames(self, edge_id: int) -> Iterator[bytes]:
         """Engine-framed byte chunks (what travels over a task's socket)."""

@@ -11,7 +11,7 @@ are small dicts; bulk data never rides inside them.  Cross-host DFG edges
 travel instead as a sequence of CHUNK messages whose ``data`` payloads are
 *exactly* the framed byte chunks of :mod:`repro.engine.channels`
 (newline-delimited UTF-8, produced by :func:`iter_encoded_chunks` and decoded
-by :func:`iter_decoded_lines`), terminated by one EDGE_END — so the cluster
+by :func:`iter_decoded_batches`), terminated by one EDGE_END — so the cluster
 data plane reuses the engine's framing rather than inventing a second one,
 and a stream moves in bounded memory on both sides of the socket.
 

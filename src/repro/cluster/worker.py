@@ -52,7 +52,7 @@ from repro.cluster.protocol import (
     parse_address,
     send_edge_stream,
 )
-from repro.engine.channels import iter_decoded_lines, iter_encoded_chunks
+from repro.engine.channels import decode_chunks, iter_encoded_chunks
 from repro.engine.workers import SPILL_PATH_KEY, InputPort, OutputPort, WorkerPlan, execute_plan
 from repro.resilience import fault as fault_injection
 from repro.resilience.retry import RetryPolicy, retry_call
@@ -130,7 +130,7 @@ def _execute_task(channel: MessageSocket, task: _PendingTask) -> None:
         plan = WorkerPlan(
             node=message["node"],
             inputs=[
-                InputPort(edge_id, data=list(iter_decoded_lines(iter(task.frames[edge_id]))))
+                InputPort(edge_id, data=decode_chunks(task.frames[edge_id]))
                 for edge_id in message["inputs"]
             ],
             outputs=[OutputPort(edge_id) for edge_id in message["outputs"]],

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import functools
+import heapq
+import itertools
 import re
 from typing import List, Tuple
 
@@ -31,7 +32,7 @@ def _numeric_key(text: str) -> float:
 
 
 def _sort_key_function(arguments: List[str]):
-    """Build the key function implied by sort's flags."""
+    """Build the key function implied by sort's flags (None: the whole line)."""
     numeric = has_flag(arguments, "-n")
     ignore_case = has_flag(arguments, "-f")
     dictionary = has_flag(arguments, "-d")
@@ -46,6 +47,9 @@ def _sort_key_function(arguments: List[str]):
         if head.endswith("r"):
             head = head[:-1]
         field_index = int(head) if head else None
+    if field_index is None and not (dictionary or ignore_case or key_numeric):
+        # Compare lines directly: sorting and merging then run entirely in C.
+        return None
 
     def extract(line: str) -> str:
         if field_index is None:
@@ -70,47 +74,23 @@ def _sort_key_function(arguments: List[str]):
 
 
 def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``."""
+    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``.
+
+    The sort is stable (ties keep input order).  ``-m`` merges its inputs
+    as GNU ``sort -m`` does, taking the smallest head at each step even when
+    an input is not sorted; ties go to the earlier input.
+    """
     reverse = has_flag(arguments, "-r")
-    unique = has_flag(arguments, "-u")
     key = _sort_key_function(arguments)
 
     if has_flag(arguments, "-m"):
-        merged = merge_sorted_streams(inputs, key=key, reverse=reverse)
+        merged = list(heapq.merge(*inputs, key=key, reverse=reverse))
     else:
         merged = sorted(concat_streams(inputs), key=key, reverse=reverse)
 
-    if unique:
-        deduplicated: Stream = []
-        previous_key = object()
-        for line in merged:
-            current = key(line)
-            if current != previous_key:
-                deduplicated.append(line)
-                previous_key = current
-        return deduplicated
+    if has_flag(arguments, "-u"):
+        return [next(group) for _, group in itertools.groupby(merged, key)]
     return merged
-
-
-def merge_sorted_streams(inputs: List[Stream], key, reverse: bool = False) -> Stream:
-    """Merge already-sorted streams (the ``sort -m`` aggregation)."""
-    import heapq
-
-    class _Wrapper:
-        __slots__ = ("value", "key")
-
-        def __init__(self, value: str) -> None:
-            self.value = value
-            self.key = key(value)
-
-        def __lt__(self, other: "_Wrapper") -> bool:
-            if reverse:
-                return self.key > other.key
-            return self.key < other.key
-
-    iterators = [iter([_Wrapper(line) for line in stream]) for stream in inputs]
-    merged = heapq.merge(*iterators)
-    return [wrapper.value for wrapper in merged]
 
 
 # ---------------------------------------------------------------------------

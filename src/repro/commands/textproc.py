@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import List
+from typing import List, Optional
 
 from repro.commands.base import (
     CommandError,
@@ -129,6 +129,37 @@ def _tr_delete_table(set1: str):
     return {ord(char): None for char in set1}
 
 
+def _tr_operation(arguments: List[str]):
+    """``(delete, squeeze, complement, set1, set2)`` of a tr argument vector."""
+    options, operands = split_flags(arguments)
+    set1 = _expand_tr_set(operands[0]) if operands else ""
+    set2 = _expand_tr_set(operands[1]) if len(operands) > 1 else ""
+    return (
+        has_flag(options, "-d"),
+        has_flag(options, "-s"),
+        has_flag(options, "-c"),
+        set1,
+        set2,
+    )
+
+
+def tr_newline_effect(arguments: List[str]) -> Optional[str]:
+    """What ``tr`` does to the newlines that end the lines of its input.
+
+    ``None``: it leaves them alone, so it maps every line on its own (the
+    stateless class).  ``"squeeze"``: it keeps them but squeezes runs of
+    them, and a run can span two slices of the input (``tr -cs A-Za-z
+    '\\n'`` on a slice that starts with ``.``).  ``"rewrite"``: it deletes
+    or translates them, joining lines.
+    """
+    delete, squeeze, complement, set1, set2 = _tr_operation(arguments)
+    if not complement and "\n" in set1 and (delete or set2):
+        return "rewrite"
+    if squeeze and "\n" in (set2 or set1):
+        return "squeeze"
+    return None
+
+
 def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``tr [-d] [-s] [-c] SET1 [SET2]`` over stdin.
 
@@ -136,14 +167,8 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
     newline is produced inside a line (e.g. ``tr ' ' '\\n'``) the line is
     split into multiple output lines; deleting newlines joins lines.
     """
-    options, operands = split_flags(arguments)
     data = concat_streams(inputs)
-    delete = has_flag(options, "-d")
-    squeeze = has_flag(options, "-s")
-    complement = has_flag(options, "-c")
-
-    set1 = _expand_tr_set(operands[0]) if operands else ""
-    set2 = _expand_tr_set(operands[1]) if len(operands) > 1 else ""
+    delete, squeeze, complement, set1, set2 = _tr_operation(arguments)
 
     if not data:
         return []

@@ -7,15 +7,23 @@ Backpressure is the kernel's: a producer that outruns its consumer blocks in
 ``write(2)`` exactly like a process writing to a full FIFO, which is the
 behaviour PaSh's eager relays exist to mitigate (§5.2).
 
+Framing works on whole batches, never on single lines: the encoder joins a
+slice of lines worth about one chunk and encodes it with one
+``("\\n".join(part) + "\\n").encode()``, and the decoder cuts each chunk at
+its last ``b"\\n"`` and decodes everything before it with one
+``.decode().split("\\n")``.  The joining, encoding, decoding and splitting
+all run in C; the only per-line Python left is the encoder's length count
+that sizes a slice.  The cut is UTF-8-safe because ``\\n`` never occurs
+inside a multi-byte sequence; the bytes after it carry over into the next
+chunk.
+
 The hot path is *bounded-memory streaming*: readers iterate chunk-by-chunk
-(:meth:`ChannelReader.iter_chunks` / :meth:`ChannelReader.iter_lines`, which
-decodes incrementally and is correct even when a multi-byte UTF-8 sequence is
-split across a chunk boundary), and :class:`EagerPump` drains a producer into
-a :class:`SpillBuffer` — an in-memory FIFO with a configurable high-water
-mark beyond which chunks spill to an unlinked temporary file, the dgsh-tee
-behaviour PaSh's eager relays adopt for larger-than-memory streams.  The
-pump therefore never blocks the producer *and* never holds more than
-``spill_threshold`` bytes in memory.
+(:meth:`ChannelReader.iter_chunks`, :func:`iter_decoded_batches`), and
+:class:`EagerPump` drains a producer into a :class:`SpillBuffer` — an
+in-memory FIFO with a configurable high-water mark beyond which chunks spill
+to an unlinked temporary file, the dgsh-tee behaviour PaSh's eager relays
+adopt for larger-than-memory streams.  The pump therefore never blocks the
+producer *and* never holds more than ``spill_threshold`` bytes in memory.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import os
 import tempfile
 import threading
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import fault as fault_injection
 from repro.resilience.errors import wrap_capacity_error
@@ -42,34 +50,51 @@ class ChannelError(RuntimeError):
 
 def encode_lines(lines: Iterable[str]) -> bytes:
     """Frame a stream as newline-terminated UTF-8 bytes."""
-    text = "".join(line + "\n" for line in lines)
-    return text.encode("utf-8")
+    return b"".join(iter_encoded_chunks(lines))
 
 
 def iter_encoded_chunks(lines: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:
     """Frame a stream as newline-terminated UTF-8 byte chunks.
 
-    The bounded-memory counterpart of :func:`encode_lines`: at most one
-    chunk (plus one line) is materialized at a time.
+    Each chunk ends at the first line end at or past ``chunk_size`` bytes,
+    so a chunk is one framing unit plus at most one overhanging line.  Lines
+    are collected until their *character* count reaches the bytes still
+    wanted (a character encodes to at least one byte), then the slice is
+    encoded in one call; multi-byte text can overshoot the chunk end, and
+    the overshoot is cut at the right line end and carried into the next
+    chunk.  At most a few chunks' worth of bytes is materialized at a time.
     """
     chunk_size = max(1, chunk_size)
-    buffer = bytearray()
-    for line in lines:
-        buffer += (line + "\n").encode("utf-8")
-        if len(buffer) >= chunk_size:
-            yield bytes(buffer)
-            buffer.clear()
-    if buffer:
-        yield bytes(buffer)
+    iterator = iter(lines)
+    pending = b""
+    part: List[str] = []
+    exhausted = False
+    while not exhausted:
+        wanted = chunk_size - len(pending)
+        for line in iterator:
+            part.append(line)
+            wanted -= len(line) + 1
+            if wanted <= 0:
+                break
+        else:
+            exhausted = True
+        if part:
+            pending += ("\n".join(part) + "\n").encode("utf-8")
+            part.clear()
+        while len(pending) >= chunk_size:
+            cut = pending.index(b"\n", chunk_size - 1) + 1
+            yield pending[:cut]
+            pending = pending[cut:]
+    if pending:
+        yield pending
 
 
 def decode_lines(data: bytes) -> List[str]:
     """Inverse of :func:`encode_lines` (tolerates a missing final newline)."""
     if not data:
         return []
-    text = data.decode("utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    lines = data.decode("utf-8").split("\n")
+    if lines[-1] == "":
         lines.pop()
     return lines
 
@@ -77,9 +102,10 @@ def decode_lines(data: bytes) -> List[str]:
 def iter_decoded_batches(chunks: Iterable[bytes]) -> Iterator[List[str]]:
     """Decode framed chunks into per-chunk line batches, incrementally.
 
-    Splitting happens at the *byte* level on ``\\n`` — which can never occur
-    inside a multi-byte UTF-8 sequence — so only complete lines are ever
-    decoded and a sequence split across a chunk boundary round-trips
+    Each chunk is cut at its last ``b"\\n"``; the complete lines before the
+    cut are decoded and split in one call each, and the bytes after it carry
+    over to the next chunk.  ``\\n`` can never occur inside a multi-byte
+    UTF-8 sequence, so a sequence split across a chunk boundary round-trips
     correctly.  A final line without a trailing newline is still yielded.
     This is the single copy of the split/carry algorithm; the line-wise
     iterators and the workers' batch evaluation all build on it.
@@ -88,20 +114,25 @@ def iter_decoded_batches(chunks: Iterable[bytes]) -> Iterator[List[str]]:
     for chunk in chunks:
         if not chunk:
             continue
-        data = remainder + chunk
-        pieces = data.split(b"\n")
-        remainder = pieces.pop()
-        if pieces:
-            yield [piece.decode("utf-8") for piece in pieces]
+        complete, newline, remainder = (remainder + chunk).rpartition(b"\n")
+        if newline:
+            yield complete.decode("utf-8").split("\n")
     if remainder:
         yield [remainder.decode("utf-8")]
+
+
+def decode_chunks(chunks: Iterable[bytes]) -> List[str]:
+    """Decode a whole framed stream into one list of lines."""
+    lines: List[str] = []
+    for batch in iter_decoded_batches(chunks):
+        lines.extend(batch)
+    return lines
 
 
 def iter_decoded_lines(chunks: Iterable[bytes]) -> Iterator[str]:
     """Decode framed chunks into lines, incrementally (UTF-8-safe)."""
     for batch in iter_decoded_batches(chunks):
-        for line in batch:
-            yield line
+        yield from batch
 
 
 def count_framed_lines(chunk: bytes) -> int:
@@ -153,17 +184,13 @@ class ChannelWriter:
         self._buffer = bytearray()
         self._closed = False
 
-    def write_line(self, line: str) -> None:
+    def write_lines(self, lines: Sequence[str]) -> None:
+        """Frame and write a batch of lines (encoded a chunk-sized slice at a time)."""
         if self._closed:
             raise ChannelError("cannot write to a closed channel")
-        self._buffer += (line + "\n").encode("utf-8")
-        self.lines_written += 1
-        if len(self._buffer) >= self.chunk_size:
-            self.flush()
-
-    def write_lines(self, lines: Iterable[str]) -> None:
-        for line in lines:
-            self.write_line(line)
+        for chunk in iter_encoded_chunks(lines, self.chunk_size):
+            self._append(chunk)
+        self.lines_written += len(lines)
 
     def write_chunk(self, data: bytes) -> None:
         """Forward an already-framed byte chunk (the pass-through hot path)."""
@@ -171,8 +198,11 @@ class ChannelWriter:
             raise ChannelError("cannot write to a closed channel")
         if not data:
             return
-        self._buffer += data
         self.lines_written += count_framed_lines(data)
+        self._append(data)
+
+    def _append(self, data: bytes) -> None:
+        self._buffer += data
         if len(self._buffer) >= self.chunk_size:
             self.flush()
 
@@ -234,9 +264,9 @@ class ChannelReader:
 
     def iter_lines(self) -> Iterator[str]:
         """Yield decoded lines incrementally (UTF-8-safe across chunks)."""
-        for line in iter_decoded_lines(self.iter_chunks()):
-            self.lines_read += 1
-            yield line
+        for batch in iter_decoded_batches(self.iter_chunks()):
+            self.lines_read += len(batch)
+            yield from batch
 
     def read_lines(self) -> List[str]:
         """Drain the channel to EOF and return the framed lines."""
@@ -445,7 +475,7 @@ class EagerPump(threading.Thread):
         self.join()
         if self._error is not None:
             raise self._error
-        return list(iter_decoded_lines(self.buffer))
+        return decode_chunks(self.buffer)
 
     # -- accounting ----------------------------------------------------------
 

@@ -48,7 +48,7 @@ from repro.engine.channels import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_SPILL_THRESHOLD,
     Channel,
-    iter_decoded_lines,
+    decode_chunks,
 )
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
@@ -518,10 +518,8 @@ class ParallelScheduler:
             path = value[SPILL_PATH_KEY]
             try:
                 with open(path, "rb") as handle:
-                    return list(
-                        iter_decoded_lines(
-                            iter(lambda: handle.read(self.options.chunk_size), b"")
-                        )
+                    return decode_chunks(
+                        iter(lambda: handle.read(self.options.chunk_size), b"")
                     )
             finally:
                 try:

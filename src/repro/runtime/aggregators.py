@@ -10,7 +10,7 @@ the original command's argument vector (flags such as ``sort -rn`` or
 from __future__ import annotations
 
 import re
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.commands import misc, sorting
 from repro.commands.base import Stream, concat_streams
@@ -26,46 +26,53 @@ def concat(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
 
 
 def merge_sort(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
-    """Merge sorted runs — equivalent to ``sort -m`` with the original flags."""
-    merge_arguments = [arg for arg in arguments if arg != "-m"] + ["-m"]
-    return sorting.sort_command(list(merge_arguments), [list(s) for s in streams])
+    """Merge sorted partials: one stable sort of their concatenation.
+
+    Timsort finds the presorted runs and merges them in C, so this costs
+    about what a k-way merge does without a Python comparison per line.
+    Ties keep stream order, which is what ``sort`` over the whole input
+    gives; ``-u`` deduplicates the merged result as usual.
+    """
+    merge_arguments = [arg for arg in arguments if arg != "-m"]
+    return sorting.sort_command(merge_arguments, list(streams))
 
 
 _UNIQ_COUNT_RE = re.compile(r"^\s*(\d+) (.*)$", re.DOTALL)
+
+
+def _joined_boundary(last: str, first: str, counting: bool) -> Optional[str]:
+    """The merged line when ``first`` continues the group ending in ``last``."""
+    if not counting:
+        return last if first == last else None
+    previous_match = _UNIQ_COUNT_RE.match(last)
+    current_match = _UNIQ_COUNT_RE.match(first)
+    if previous_match and current_match and previous_match.group(2) == current_match.group(2):
+        total = int(previous_match.group(1)) + int(current_match.group(1))
+        return f"{total:7d} {previous_match.group(2)}"
+    return None
 
 
 def merge_uniq(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
     """Merge ``uniq`` outputs by fixing up the chunk boundaries.
 
     Plain ``uniq`` partial outputs may repeat a line across a boundary; with
-    ``-c`` the boundary counts must be summed.  Both cases only require
-    looking at the last line of one chunk and the first line of the next.
+    ``-c`` the boundary counts must be summed.  Each partial is already free
+    of adjacent duplicates, so only its first line is compared, against the
+    last line merged so far; the rest is appended as is.
     """
     counting = "-c" in arguments or any(
         arg.startswith("-") and not arg.startswith("--") and "c" in arg[1:] for arg in arguments
     )
     merged: Stream = []
     for stream in streams:
-        for line in stream:
-            if not merged:
-                merged.append(line)
-                continue
-            if counting:
-                previous_match = _UNIQ_COUNT_RE.match(merged[-1])
-                current_match = _UNIQ_COUNT_RE.match(line)
-                if (
-                    previous_match
-                    and current_match
-                    and previous_match.group(2) == current_match.group(2)
-                ):
-                    total = int(previous_match.group(1)) + int(current_match.group(1))
-                    merged[-1] = f"{total:7d} {previous_match.group(2)}"
-                    continue
-                merged.append(line)
-            else:
-                if line == merged[-1]:
-                    continue
-                merged.append(line)
+        if not stream:
+            continue
+        joined = _joined_boundary(merged[-1], stream[0], counting) if merged else None
+        if joined is None:
+            merged.extend(stream)
+        else:
+            merged[-1] = joined
+            merged.extend(stream[1:])
     return merged
 
 
@@ -108,6 +115,22 @@ def merge_tail(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
     return misc.tail(list(arguments), [concat_streams(list(streams))])
 
 
+def merge_squeeze(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
+    """Concatenate the outputs of ``tr`` copies that squeeze newline runs.
+
+    Every partial output ends in a newline, so a partial that starts with an
+    empty line (a newline run at its start) continues the run that ended
+    the output before it, and ``tr`` over the whole input squeezes it away.
+    """
+    merged: Stream = []
+    for stream in streams:
+        if merged and stream and stream[0] == "":
+            merged.extend(stream[1:])
+        else:
+            merged.extend(stream)
+    return merged
+
+
 def merge_sum(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
     """Sum single-number outputs (e.g. parallel ``grep -c`` copies)."""
     total = 0
@@ -133,6 +156,7 @@ AGGREGATORS: Dict[str, Callable[[Sequence[Stream], Sequence[str]], Stream]] = {
     "merge_head": merge_head,
     "merge_tail": merge_tail,
     "merge_comm": merge_comm,
+    "merge_squeeze": merge_squeeze,
     "sum": merge_sum,
 }
 

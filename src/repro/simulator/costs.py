@@ -128,6 +128,7 @@ _AGGREGATOR_COSTS: Dict[str, CommandCost] = {
     "merge_head": CommandCost(seconds_per_line=2e-8, fixed_output_lines=10),
     "merge_tail": CommandCost(seconds_per_line=2e-8, fixed_output_lines=10),
     "merge_comm": CommandCost(seconds_per_line=1e-7),
+    "merge_squeeze": CommandCost(seconds_per_line=5e-8),
     "sum": CommandCost(seconds_per_line=1e-7, fixed_output_lines=1),
 }
 

@@ -29,6 +29,22 @@ def test_core_pure_commands():
     assert library.classify("comm", ["a", "b"]) is P
 
 
+def test_tr_class_follows_what_it_does_to_newlines():
+    library = standard_library()
+    # Leaves newlines alone: a per-line map.
+    assert library.classify("tr", ["-s", " "]) is S
+    assert library.classify("tr", ["-c", "A-Za-z", "\\n"]) is S
+    assert library.classify("tr", ["-cd", "A-Za-z"]) is S
+    # Squeezes newline runs, which can span two partials: merged, not concatenated.
+    assert library.classify("tr", ["-cs", "A-Za-z", "\\n"]) is P
+    assert library.classify("tr", ["-s", "\\n"]) is P
+    assert library.classify("tr", ["-s", " ", "\\n"]) is P
+    assert library.aggregator_for("tr") == "merge_squeeze"
+    # Deletes or translates newlines, joining lines.
+    assert library.classify("tr", ["-d", "\\n"]) is N
+    assert library.classify("tr", ["\\n", " "]) is N
+
+
 def test_flags_change_class():
     library = standard_library()
     assert library.classify("cat", []) is S

@@ -4,6 +4,7 @@ import os
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.channels import (
     Channel,
@@ -13,7 +14,10 @@ from repro.engine.channels import (
     EagerPump,
     decode_lines,
     encode_lines,
+    iter_decoded_batches,
+    iter_encoded_chunks,
 )
+from repro.engine.workers import InlineSource, ReportSink
 
 
 def pipe_round_trip(lines, chunk_size=64):
@@ -75,7 +79,7 @@ def test_write_after_close_raises():
     channel_reader = channel.reader()
     writer.close()
     with pytest.raises(ChannelError):
-        writer.write_line("late")
+        writer.write_lines(["late"])
     assert channel_reader.read_lines() == []
 
 
@@ -113,3 +117,69 @@ def test_broken_pipe_surfaces_to_writer():
         writer.write_lines(["x" * (1 << 20)])
         writer.close()
     writer.abandon()
+
+
+# ---------------------------------------------------------------------------
+# Batch framing: properties over random lines and chunk sizes
+# ---------------------------------------------------------------------------
+
+#: Lines as the engine sees them: any text without a newline, multi-byte
+#: characters and empty lines included (surrogates cannot be encoded).
+line_lists = st.lists(
+    st.text(st.characters(blacklist_characters="\n", blacklist_categories=("Cs",)), max_size=12),
+    max_size=40,
+)
+chunk_sizes = st.integers(min_value=1, max_value=64)
+
+
+def reference_framing(lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@given(line_lists, chunk_sizes)
+def test_encoded_chunks_frame_every_line_and_end_at_the_first_line_end_past_chunk_size(
+    lines, chunk_size
+):
+    chunks = list(iter_encoded_chunks(lines, chunk_size))
+    assert b"".join(chunks) == reference_framing(lines)
+    assert encode_lines(lines) == reference_framing(lines)
+    for chunk in chunks[:-1]:
+        # Full chunks reach chunk_size, and their last line is the one that
+        # crossed it: without that line the chunk would fall short.
+        assert len(chunk) >= chunk_size
+        assert chunk.endswith(b"\n")
+        assert chunk[:-1].rfind(b"\n") + 1 < chunk_size
+    assert all(chunk for chunk in chunks)
+
+
+@given(line_lists, chunk_sizes, st.lists(st.integers(min_value=0, max_value=600), max_size=8))
+def test_decoding_any_chunking_of_the_framed_bytes_returns_the_lines(lines, chunk_size, cuts):
+    payload = b"".join(iter_encoded_chunks(lines, chunk_size))
+    bounds = sorted({0, len(payload), *(cut for cut in cuts if cut < len(payload))})
+    pieces = [payload[start:end] for start, end in zip(bounds, bounds[1:])]
+    decoded = [line for batch in iter_decoded_batches(pieces) for line in batch]
+    assert decoded == lines
+    assert decode_lines(payload) == lines
+
+
+@settings(deadline=None)
+@given(line_lists, chunk_sizes)
+def test_line_counters_equal_the_number_of_lines(lines, chunk_size):
+    channel = Channel(chunk_size=chunk_size)
+    writer = channel.writer()
+    half = len(lines) // 2
+    writer.write_lines(lines[:half])
+    writer.write_lines(lines[half:])
+    writer.close()  # the payload is far below a pipe buffer: no reader thread needed
+    reader = channel.reader()
+    assert reader.read_lines() == lines
+    assert writer.lines_written == reader.lines_read == len(lines)
+    assert writer.bytes_written == reader.bytes_read == len(reference_framing(lines))
+
+    source = InlineSource(lines, chunk_size)
+    assert [line for batch in source.iter_batches() for line in batch] == lines
+    assert source.lines_in == len(lines)
+    sink = ReportSink(edge_id=0, spill_threshold=1 << 20, directory=None, chunk_size=chunk_size)
+    sink.write_lines(lines)
+    assert sink.lines_out == len(lines)
+    assert sink.entry() == lines

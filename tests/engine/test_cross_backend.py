@@ -13,12 +13,16 @@ stand-in — diff; and the custom annotated commands like ``bigrams`` have no
 host binary — bi-grams-opt).
 """
 
+import os
+import shlex
 import shutil
+import subprocess
 
 import pytest
 
-from repro.api import Pash, PashConfig
+from repro.api import Pash, PashConfig, StreamingConfig
 from repro.runtime.executor import ExecutionEnvironment
+from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
 from repro.workloads.oneliners import ONE_LINERS, get_one_liner
 
@@ -229,3 +233,81 @@ def test_tr_complement_squeeze_on_chunks_ending_in_a_period():
     assert len(copies) >= 2, "the tr stage was not parallelized"
     assert outputs["parallel"] == outputs["interpreter"]
     assert "" not in outputs["interpreter"]
+
+
+# ---------------------------------------------------------------------------
+# tr -s whose squeeze set holds a newline: a newline run spanning a boundary
+# ---------------------------------------------------------------------------
+
+#: (tr arguments, input files, config): a slice that *starts* with a squeezed
+#: character, after a split point (width 2) or a batch boundary (width 1,
+#: 20-byte chunks).
+TR_SQUEEZE_CASES = {
+    "split": (
+        ["-cs", "A-Za-z", "\\n"],
+        {"a.txt": ["hello world foo bar", "one two"], "b.txt": [".x and y", "zed."]},
+        PashConfig(width=2),
+    ),
+    "batches": (
+        ["-cs", "A-Za-z", "\\n"],
+        {"a.txt": ["hello world foo bar", ".x and y", "zed."] * 3},
+        PashConfig(width=1, streaming=StreamingConfig(chunk_size=20)),
+    ),
+    "blank-lines": (
+        ["-s", "\\n"],
+        {"a.txt": ["a", "", "b", ""], "b.txt": ["", "", "c", "", ""]},
+        PashConfig(width=2),
+    ),
+    "spaces-to-newlines": (
+        ["-s", " ", "\\n"],
+        {"a.txt": ["a b ", "c  "], "b.txt": [" d e", "  f"]},
+        PashConfig(width=2, streaming=StreamingConfig(chunk_size=4)),
+    ),
+}
+
+
+#: tr that deletes or translates newlines joins lines: never split or batched.
+TR_JOIN_CASES = {
+    "delete-newlines": (
+        ["-d", "\\n"],
+        {"a.txt": ["ab", "c"], "b.txt": ["d", "ef"]},
+        PashConfig(width=2, streaming=StreamingConfig(chunk_size=4)),
+    ),
+    "newlines-to-spaces": (
+        ["\\n", " "],
+        {"a.txt": ["ab", "c"], "b.txt": ["d", "ef"]},
+        PashConfig(width=2, streaming=StreamingConfig(chunk_size=4)),
+    ),
+}
+
+
+def run_tr_case(case, backend):
+    """(engine stdout, sequential-shell stdout, input text) of one case."""
+    arguments, files, config = {**TR_SQUEEZE_CASES, **TR_JOIN_CASES}[case]
+    script = f"cat {' '.join(files)} | tr {' '.join(map(shlex.quote, arguments))}"
+    environment = ExecutionEnvironment(
+        filesystem=VirtualFileSystem({name: list(lines) for name, lines in files.items()})
+    )
+    result = Pash.compile(script, config).execute(backend=backend, environment=environment)
+    sequential = ShellInterpreter(filesystem=VirtualFileSystem(files)).run_script(script)
+    text = "".join(line + "\n" for lines in files.values() for line in lines)
+    return result.stdout, sequential, text
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "parallel", "cluster"])
+@pytest.mark.parametrize("case", sorted(TR_SQUEEZE_CASES) + sorted(TR_JOIN_CASES))
+def test_tr_touching_newlines_matches_the_sequential_shell(case, backend):
+    stdout, sequential, _ = run_tr_case(case, backend)
+    assert stdout == sequential
+
+
+@pytest.mark.skipif(shutil.which("tr") is None, reason="requires a host tr")
+@pytest.mark.parametrize("case", sorted(TR_SQUEEZE_CASES))
+def test_tr_squeezing_newlines_matches_host_tr(case):
+    stdout, _, text = run_tr_case(case, "parallel")
+    arguments = [argument.replace("\\n", "\n") for argument in TR_SQUEEZE_CASES[case][0]]
+    host = subprocess.run(
+        ["tr", *arguments], input=text.encode(), stdout=subprocess.PIPE,
+        env=dict(os.environ, LC_ALL="C"), check=True,
+    ).stdout.decode()
+    assert "".join(line + "\n" for line in stdout) == host
